@@ -3,7 +3,8 @@
 
 Part 1 — single-process gateway. Boots the HTTP gateway as a real
 subprocess over a tiny cube with a deliberately small worker pool, a
-tight admission queue, and an artificial per-request service floor;
+tight admission queue, and a per-request service floor (a ``Hang``
+fault armed through ``REPRO_FAULTS``);
 then fires a burst of concurrent stdlib clients well past the queue
 bound. Asserts that
 
@@ -29,8 +30,9 @@ then SIGKILLs one worker mid-stream. Asserts the chaos criterion:
 Run with ``REPRO_SANITIZE=1`` in CI: both server subprocesses inherit
 it, and any ``REPRO_SANITIZE:`` line on their stderr fails the smoke.
 
-Exits non-zero on any violation. Stdlib only — no test framework, no
-HTTP client dependency — so it runs anywhere the repo does.
+Exits non-zero on any violation. Stdlib plus the package under test —
+no test framework, no HTTP client dependency — so it runs anywhere the
+repo does.
 """
 
 import json
@@ -45,6 +47,9 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+from repro.resilience.faults import Hang, encode_fault_specs
+from repro.serving.gateway import FP_EXECUTE
+
 HOST = "127.0.0.1"
 PORT = 18788
 SHARDED_PORT = 18789
@@ -52,6 +57,9 @@ WORKERS = 1
 QUEUE_DEPTH = 2
 BURST = 16
 SERVICE_FLOOR = 0.15  # seconds per request: makes the burst overload
+# The floor is a Hang fault at the gateway's execute point, armed in
+# the server through REPRO_FAULTS: every request stalls there.
+SERVICE_FLOOR_FAULT = encode_fault_specs([Hang(FP_EXECUTE, seconds=SERVICE_FLOOR)])
 SHARDS = 3
 CHAOS_SECONDS = 8.0  # sustained load window around the kill
 
@@ -121,10 +129,10 @@ def single_gateway_smoke(rides: Path, cube: Path, workdir: Path) -> None:
             "--cube", str(cube), "--table", str(rides),
             "--host", HOST, "--port", str(PORT),
             "--workers", str(WORKERS), "--queue-depth", str(QUEUE_DEPTH),
-            "--min-service-seconds", str(SERVICE_FLOOR),
             "--quiet",
         ],
         stderr=open(log_path, "wb"),
+        env=dict(os.environ, REPRO_FAULTS=SERVICE_FLOOR_FAULT),
     )
     try:
         wait_ready(base)

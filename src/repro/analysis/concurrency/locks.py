@@ -4,7 +4,7 @@ TAB601 is intraprocedural per class: every ``self.<attr>`` access to a
 ``# guard:``-annotated attribute must be lexically inside ``with
 self.<lock>:`` or a ``@guarded_by`` method; ``# guard-writes:`` relaxes
 that to mutations only (lock-free readers are a documented protocol in
-this codebase — the cube store's stale-pointer retry, the gateway's
+this codebase — the cube store's introspection reads, the gateway's
 snapshot pin).
 
 TAB602 is global: every ``with B:`` nested inside ``with A:`` anywhere

@@ -13,7 +13,7 @@ Annotation convention (documented in ``docs/static_analysis.md``):
   (read *and* write) must happen under ``with self._lock:``;
 - ``self.attr = ...  # guard-writes: _lock`` — only mutations need the
   lock; reads are deliberately lock-free (e.g. the cube store's
-  stale-pointer retry protocol);
+  single-field introspection reads);
 - ``@guarded_by("_lock")`` on a method — the body runs with the lock
   held by the caller; the analyzer treats the whole method as locked
   and the runtime sanitizer asserts it.

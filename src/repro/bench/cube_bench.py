@@ -18,6 +18,7 @@ runners. Schema details live in ``benchmarks/README.md``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import platform
 import threading
@@ -414,8 +415,9 @@ def bench_serving(
     - **steady** — a well-provisioned gateway (no artificial service
       floor, clients ≤ workers): the baseline latency tail.
     - **overload** — a deliberately under-provisioned gateway
-      (``min_service_seconds`` service floor, ``clients`` ≫ workers +
-      queue): offered load exceeds capacity, so the gateway *must* shed;
+      (``min_service_seconds`` service floor, armed as a ``Hang`` fault
+      at ``serve.request.execute``; ``clients`` ≫ workers + queue):
+      offered load exceeds capacity, so the gateway *must* shed;
       the document records throughput, shed rate and the p99 of the
       requests that were actually served.
 
@@ -438,8 +440,9 @@ def bench_serving(
     bbox geometry — and the document gains a ``viewport`` section whose
     oracle replay ``--check`` gates on (see :func:`check_serving_doc`).
     """
+    from repro.resilience.faults import Hang, inject
     from repro.serving.breaker import BreakerConfig
-    from repro.serving.gateway import ServingConfig, ServingGateway
+    from repro.serving.gateway import FP_EXECUTE, ServingConfig, ServingGateway
 
     if workload not in ("cells", "viewport"):
         raise ValueError(f"unknown serving workload: {workload!r}")
@@ -464,7 +467,9 @@ def bench_serving(
             )
         ]
 
-    def run_phase(config: ServingConfig, phase_clients: int) -> Dict[str, object]:
+    def run_phase(
+        config: ServingConfig, phase_clients: int, service_floor: float = 0.0
+    ) -> Dict[str, object]:
         gateway = ServingGateway(tabula, config=config)
         breaker_before = gateway.breaker.snapshot()
         outcomes: Dict[str, int] = {}
@@ -492,11 +497,17 @@ def bench_serving(
                         served_latencies.append(response.elapsed_seconds)
 
         threads = [threading.Thread(target=client) for _ in range(phase_clients)]
+        floor = (
+            inject(Hang(FP_EXECUTE, seconds=service_floor))
+            if service_floor > 0
+            else contextlib.nullcontext()
+        )
         started = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        with floor:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
         wall = time.perf_counter() - started
         stats = gateway.stats()
         gateway.close()
@@ -507,7 +518,7 @@ def bench_serving(
             "clients": phase_clients,
             "workers": config.workers,
             "queue_depth": config.queue_depth,
-            "min_service_seconds": config.min_service_seconds,
+            "min_service_seconds": service_floor,
             "offered": len(queries),
             "outcomes": outcomes,
             "served": served,
@@ -530,10 +541,10 @@ def bench_serving(
         ServingConfig(
             workers=workers,
             queue_depth=queue_depth,
-            min_service_seconds=min_service_seconds,
             breaker=BreakerConfig(),
         ),
         phase_clients=clients,
+        service_floor=min_service_seconds,
     )
     document: Dict[str, object] = {
         "schema_version": SCHEMA_VERSION,
@@ -710,6 +721,8 @@ def _bench_sharded(
     from repro.core.persistence import load_cube, save_cube
     from repro.engine.io import read_csv, write_csv
     from repro.engine.schema import ColumnType
+    from repro.resilience.faults import Hang, encode_fault_specs
+    from repro.serving.gateway import FP_EXECUTE
     from repro.serving.placement import Placement, shard_transform
     from repro.serving.router import RouterConfig, ShardRouter
     from repro.serving.supervisor import (
@@ -729,6 +742,13 @@ def _bench_sharded(
         csv_path, types={a: ColumnType.CATEGORY for a in settings.attrs}
     )
 
+    # Every worker request pays the service floor: a Hang fault at the
+    # gateway's execute point, armed in each worker via REPRO_FAULTS.
+    worker_env = dict(
+        os.environ,
+        REPRO_FAULTS=encode_fault_specs([Hang(FP_EXECUTE, seconds=min_service_seconds)]),
+    )
+
     def boot(num_shards: int) -> ShardRouter:
         placement = Placement(num_shards)
 
@@ -738,11 +758,10 @@ def _bench_sharded(
                 "--cube", cube_path, "--table", csv_path,
                 "--shard", str(shard), "--num-shards", str(num_shards),
                 "--workers", "2", "--queue-depth", str(max(64, len(workload))),
-                "--min-service-seconds", str(min_service_seconds),
             ]
 
         supervisor = ShardSupervisor(
-            default_worker_factory(worker_argv),
+            default_worker_factory(worker_argv, env=worker_env),
             num_shards,
             config=SupervisorConfig(
                 heartbeat_interval_seconds=0.2,

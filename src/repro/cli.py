@@ -136,13 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
         "carry their own)",
     )
     serve.add_argument(
-        "--min-service-seconds",
-        type=float,
-        default=0.0,
-        help="artificial per-request service floor (overload drills "
-        "and smoke tests only; keep 0 in production)",
-    )
-    serve.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -501,11 +494,15 @@ def cmd_query(args) -> int:
 
 def cmd_serve(args) -> int:
     from repro.engine.schema import ColumnType
+    from repro.resilience.faults import arm_from_env
     from repro.serving import ServingConfig, ServingGateway
     from repro.serving.http import serve_http
 
     if getattr(args, "shards", 0) and args.shards > 0:
-        return _serve_sharded(args)
+        return _serve_sharded(args)  # each worker arms REPRO_FAULTS itself
+    # Overload drills arm faults (e.g. a Hang at serve.request.execute)
+    # through REPRO_FAULTS; the serving imports above registered them.
+    arm_from_env()
     with open(args.cube) as handle:
         document = json.load(handle)
     attrs = document.get("cubed_attrs", [])
@@ -519,7 +516,6 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             queue_depth=args.queue_depth,
             default_deadline_seconds=args.deadline,
-            min_service_seconds=args.min_service_seconds,
         ),
     )
     ingestor = None
@@ -583,7 +579,6 @@ def _serve_sharded(args) -> int:
             "--cube", args.cube, "--table", args.table,
             "--shard", str(shard), "--num-shards", str(args.shards),
             "--workers", str(args.workers), "--queue-depth", str(args.queue_depth),
-            "--min-service-seconds", str(args.min_service_seconds),
         ]
         if args.deadline is not None:
             argv += ["--deadline", str(args.deadline)]

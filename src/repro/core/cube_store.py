@@ -65,12 +65,11 @@ class SamplingCubeStore:
         self._degraded_cells: Dict[CellKey, str] = dict(degraded_cells or {})  # guard-writes: _swap_lock
         self._next_sample_id = max(self._samples, default=-1) + 1  # guard-writes: _swap_lock
         # Swap guard: every mutation of the cell→sample pointers or the
-        # sample table happens under this lock and bumps the generation,
-        # so a reader that raced a swap (pointer resolved, sample gone)
-        # can distinguish "concurrent maintenance moved it" (generation
-        # advanced → re-resolve) from "genuinely dangling" (degrade).
-        # Readers are deliberately lock-free (stale-pointer retry
-        # protocol), hence guard-writes rather than guard above.
+        # sample table happens under this lock and bumps the generation.
+        # The query path (resolve_many) reads pointer and sample under
+        # it too, so it never sees a torn swap; single-field
+        # introspection reads stay lock-free, hence guard-writes rather
+        # than guard above.
         self._swap_lock = create_lock("cube_store._swap_lock", rlock=True)
         self._generation = 0  # guard-writes: _swap_lock
         # Spatial index registry (viewport queries). Indexes are pure
@@ -119,10 +118,12 @@ class SamplingCubeStore:
         """Classify a batch of cells in one pass under the swap lock.
 
         Returns, per cell, ``(kind, sample)`` where ``kind`` is one of
-        ``"local"`` (sample attached), ``"stale"`` (pointer resolved but
-        the sample bytes are gone — the caller's per-query retry/degrade
-        protocol owns that case), ``"degraded"``, ``"global"`` (known
-        non-iceberg cell) or ``"empty"`` (unknown cell).
+        ``"local"`` (sample attached), ``"degraded"``, ``"global"``
+        (known non-iceberg cell) or ``"empty"`` (unknown cell). A
+        pointer whose sample bytes are gone is degraded on sight, with
+        the sample id in the reason: pointer and sample are read under
+        the same lock every mutation takes, so it cannot be a reader
+        racing a maintenance swap — it is genuinely dangling.
 
         With a ``geometry``, local samples come back spatially filtered
         (index-backed) *inside the same lock pass*: ``"local"`` means
@@ -134,9 +135,8 @@ class SamplingCubeStore:
         Because every store mutation takes the swap lock and this reads
         the whole batch under it, a batch observes one consistent store
         state: concurrent maintenance can never interleave a pointer
-        swap *inside* a batch the way it can between two sequential
-        lookups. That single acquisition — instead of two per query —
-        is also the point: it is what makes the batched query path cheap.
+        swap *inside* a batch. One acquisition per batch is also what
+        makes the query path cheap.
         """
         with self._swap_lock:
             out: List[Tuple[str, Optional[Table]]] = []
@@ -145,7 +145,10 @@ class SamplingCubeStore:
                 if sample_id is not None:
                     sample = self._samples.get(sample_id)
                     if sample is None:
-                        out.append(("stale", None))
+                        self.mark_degraded(
+                            cell, f"sample {sample_id} is missing from the store"
+                        )
+                        out.append(("degraded", None))
                     elif geometry is None:
                         out.append(("local", sample))
                     else:
@@ -251,19 +254,15 @@ class SamplingCubeStore:
         self,
         sample: Table,
         geometry: spatial.Geometry,
-        sample_id: Optional[int] = None,
-        use_global: bool = False,
+        sample_id: int,
     ) -> Tuple[Table, bool]:
         """``(filtered, covers_all)`` for one sample, index-backed.
 
-        Lock-free by design (same stale-read protocol as sample reads):
-        a missing or racing index entry falls back to the exact oracle
-        scan inside :func:`repro.core.spatial.filter_table`.
+        Lock-free by design: a missing or racing index entry falls back
+        to the exact oracle scan inside
+        :func:`repro.core.spatial.filter_table`.
         """
-        index = self._global_spatial if use_global else (
-            self._spatial.get(sample_id) if sample_id is not None else None
-        )
-        return spatial.filter_table(sample, geometry, index=index)
+        return spatial.filter_table(sample, geometry, index=self._spatial.get(sample_id))
 
     @guarded_by("_swap_lock")
     def _index_for(self, sample: Table) -> spatial.SpatialIndex:

@@ -91,11 +91,6 @@ class TabulaConfig:
             degraded cell — ``"global"`` (cheap, answer is honest but
             carries no θ-certificate → ``DOWNGRADED``) or ``"raw"``
             (exact full scan → ``CERTIFIED``, at raw-scan cost).
-        stale_pointer_retries: how many times the query path re-resolves
-            a cell→sample pointer that raced a concurrent maintenance
-            swap before concluding the store is damaged. The default of
-            1 suffices for a single writer; raise it when several
-            maintenance writers share the instance.
         spatial_backend: index backend for geometry (viewport) queries —
             ``"grid"`` (uniform grid, always available) or ``"kdtree"``
             (scipy-backed; silently resolves to the grid when scipy is
@@ -117,7 +112,6 @@ class TabulaConfig:
     partitions: int = 16
     degraded_rebind: bool = True
     degraded_fallback: str = "global"
-    stale_pointer_retries: int = 1
     spatial_backend: str = "grid"
     spatial_resolution: Optional[int] = None
 
@@ -134,10 +128,6 @@ class TabulaConfig:
             )
         if self.partitions < 1:
             raise ValueError(f"partitions must be >= 1, got {self.partitions}")
-        if self.stale_pointer_retries < 0:
-            raise ValueError(
-                f"stale_pointer_retries must be >= 0, got {self.stale_pointer_retries}"
-            )
 
 
 @dataclass
@@ -524,7 +514,7 @@ class Tabula:
         raw_policy=None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> QueryResult:
-        """Answer one dashboard interaction from the materialized cube.
+        """Answer one dashboard interaction: a batch of one (:meth:`query_many`).
 
         Args:
             where: either a mapping ``{attr: value}`` over (a subset of)
@@ -560,109 +550,9 @@ class Tabula:
             DeadlineExceeded: the deadline expired and no fallback rung
                 could answer within it.
         """
-        store = self._require_store()
-        geom: Optional[spatial.Geometry] = None
-        if geometry is not None:
-            geom = spatial.parse_geometry(geometry)
-            self._require_spatial()
-        if isinstance(where, Predicate):
-            flattened = conjunction_to_equalities(where)
-            if flattened is None:
-                sets = conjunction_to_equality_sets(where)
-                if sets is not None:
-                    return self.query_union(
-                        _cartesian_queries(sets),
-                        deadline=deadline,
-                        raw_policy=raw_policy,
-                        geometry=geom,
-                    )
-        started = time.perf_counter()
-        if deadline is not None:
-            deadline.check("before the cube lookup")
-        cell = self._cell_for(where)
-        sample_id = store.sample_id_of(cell)
-        if sample_id is not None:
-            generation = store.generation
-            sample = store.sample_for_id(sample_id)
-            retries = self.config.stale_pointer_retries
-            while sample is None and retries > 0:
-                # Concurrent maintenance may have swapped the cell's
-                # sample between the two reads (pointer updated, old
-                # sample collected). Re-resolve before concluding the
-                # store is damaged: a cell with a valid pre-swap sample
-                # must never degrade because of a racing append. The
-                # store's generation counter bounds the retries — an
-                # unchanged pointer in an unchanged generation is
-                # genuinely dangling, not racing.
-                retries -= 1
-                refreshed = store.sample_id_of(cell)
-                refreshed_generation = store.generation
-                if refreshed is None:
-                    break  # demoted/degraded mid-read; the ladder decides
-                if refreshed == sample_id and refreshed_generation == generation:
-                    break
-                generation = refreshed_generation
-                sample_id = refreshed
-                sample = store.sample_for_id(refreshed)
-            if sample is not None:
-                if geom is None:
-                    return QueryResult(
-                        sample=sample,
-                        source="local",
-                        cell=cell,
-                        data_system_seconds=time.perf_counter() - started,
-                        guarantee=GuaranteeStatus.CERTIFIED,
-                    )
-                filtered, covers = store.spatial_filter(
-                    sample, geom, sample_id=sample_id
-                )
-                return QueryResult(
-                    sample=filtered,
-                    source="local",
-                    cell=cell,
-                    data_system_seconds=time.perf_counter() - started,
-                    guarantee=(
-                        GuaranteeStatus.CERTIFIED if covers else GuaranteeStatus.DOWNGRADED
-                    ),
-                    detail="" if covers else _SPATIAL_DETAIL,
-                    spatial_filtered=True,
-                )
-            # Dangling sample id (corruption survivor): degrade rather
-            # than raise — the dashboard still gets an honest answer.
-            store.mark_degraded(cell, f"sample {sample_id} is missing from the store")
-        if store.is_degraded(cell):
-            return self._degraded_answer(
-                cell, started, deadline=deadline, raw_policy=raw_policy, geometry=geom
-            )
-        if store.is_known_cell(cell):
-            if geom is None:
-                return QueryResult(
-                    sample=store.global_sample.table,
-                    source="global",
-                    cell=cell,
-                    data_system_seconds=time.perf_counter() - started,
-                    guarantee=GuaranteeStatus.CERTIFIED,
-                )
-            filtered, covers = store.filtered_global(geom)
-            return QueryResult(
-                sample=filtered,
-                source="global",
-                cell=cell,
-                data_system_seconds=time.perf_counter() - started,
-                guarantee=(
-                    GuaranteeStatus.CERTIFIED if covers else GuaranteeStatus.DOWNGRADED
-                ),
-                detail="" if covers else _SPATIAL_DETAIL,
-                spatial_filtered=True,
-            )
-        return QueryResult(
-            sample=Table.empty_like(self.table),
-            source="empty",
-            cell=cell,
-            data_system_seconds=time.perf_counter() - started,
-            guarantee=GuaranteeStatus.CERTIFIED,
-            spatial_filtered=geom is not None,
-        )
+        return self.query_many(
+            [where], deadline=deadline, raw_policy=raw_policy, geometry=geometry
+        )[0]
 
     def query_many(
         self,
@@ -673,132 +563,93 @@ class Tabula:
     ) -> List[QueryResult]:
         """Answer a batch of dashboard interactions in one cube pass.
 
-        Semantically equivalent to ``[self.query(w) for w in wheres]`` —
-        same samples, sources and :class:`GuaranteeStatus` values — but
-        the common certified path costs one store-lock acquisition for
-        the whole batch (:meth:`SamplingCubeStore.resolve_many`) instead
-        of two per query, and cell-key validation caches repeated
-        ``(attr, value)`` literals, which dashboard viewports repeat
-        heavily (InfiniViz-style multi-cell fetches).
-
-        Items that need more than a certified lookup — equality-set
-        predicates (IN-style unions), degraded cells, or a pointer that
-        raced concurrent maintenance — fall back to the full
-        :meth:`query` path item by item, so every retry/downgrade
-        behavior is inherited unchanged.
+        The only query implementation: :meth:`query` is a batch of one.
+        Results are in input order and equal ``[self.query(w) for w in
+        wheres]``. The certified lookups of the whole batch cost one
+        store-lock acquisition (:meth:`SamplingCubeStore.resolve_many`),
+        which reads every cell's pointer and sample together — so a
+        racing maintenance swap can never make a valid cell look
+        damaged. Degraded cells take the fallback ladder
+        (:meth:`_degraded_answer`); IN-style equality-set predicates are
+        answered by :meth:`query_union`.
 
         ``geometry`` is one spatial predicate shared by the whole batch
-        (the viewport all cells are fetched for): local samples filter
-        inside the store's single lock pass, the filtered global sample
-        is computed once per batch, and every item inherits the same
-        guarantee semantics as :meth:`query`.
+        (the viewport all cells are fetched for, InfiniViz-style): local
+        samples filter inside the store's single lock pass and the
+        filtered global sample is computed once per batch.
         """
         store = self._require_store()
-        cfg = self.config
         geom: Optional[spatial.Geometry] = None
         if geometry is not None:
             geom = spatial.parse_geometry(geometry)
             self._require_spatial()
-        wheres = list(wheres)
         if deadline is not None:
             deadline.check("before the cube lookup")
         started = time.perf_counter()
-
-        validated: set = set()
-        cubed = set(cfg.cubed_attrs)
-
-        def validated_cell(where) -> CellKey:
-            equalities = {} if where is None else dict(where)
-            extra = set(equalities) - cubed
-            if extra:
-                raise InvalidQueryError(
-                    f"WHERE clause references non-cubed attributes {sorted(extra)}; "
-                    f"cubed attributes are {list(cfg.cubed_attrs)}"
-                )
-            for attr, value in equalities.items():
-                pair = (attr, value)
-                if pair not in validated:
-                    self.table.column(attr).encode(value)
-                    validated.add(pair)
-            return tuple(equalities.get(attr) for attr in cfg.cubed_attrs)
-
-        results: List[Optional[QueryResult]] = [None] * len(wheres)
-        cells: List[Optional[CellKey]] = [None] * len(wheres)
-        slow: List[int] = []
-        for i, where in enumerate(wheres):
-            if isinstance(where, Predicate):
-                slow.append(i)  # may flatten to a union; query() decides
-            else:
-                cells[i] = validated_cell(where)
-
-        fast = [i for i in range(len(wheres)) if cells[i] is not None]
-        resolved = store.resolve_many([cells[i] for i in fast], geometry=geom)
-        empty_sample: Optional[Table] = None
-        filtered_global: Optional[Tuple[Table, bool]] = None
-        for i, (kind, sample) in zip(fast, resolved):
-            elapsed = time.perf_counter() - started
-            if kind == "local":
-                results[i] = QueryResult(
-                    sample=sample,
-                    source="local",
-                    cell=cells[i],
-                    data_system_seconds=elapsed,
-                    guarantee=GuaranteeStatus.CERTIFIED,
-                    spatial_filtered=geom is not None,
-                )
-            elif kind == "local_filtered":
-                results[i] = QueryResult(
-                    sample=sample,
-                    source="local",
-                    cell=cells[i],
-                    data_system_seconds=elapsed,
-                    guarantee=GuaranteeStatus.DOWNGRADED,
-                    detail=_SPATIAL_DETAIL,
-                    spatial_filtered=True,
-                )
-            elif kind == "global":
-                if geom is None:
-                    results[i] = QueryResult(
-                        sample=store.global_sample.table,
-                        source="global",
-                        cell=cells[i],
-                        data_system_seconds=elapsed,
-                        guarantee=GuaranteeStatus.CERTIFIED,
+        # One entry per item: a cell key to look up, or the per-cell
+        # queries of an IN-style union.
+        items: List[Union[CellKey, List[Dict[str, object]]]] = []
+        for where in wheres:
+            if isinstance(where, Predicate) and conjunction_to_equalities(where) is None:
+                sets = conjunction_to_equality_sets(where)
+                if sets is not None:
+                    items.append(_cartesian_queries(sets))
+                    continue
+            items.append(self._cell_for(where))
+        lookups = iter(
+            store.resolve_many(
+                [item for item in items if isinstance(item, tuple)], geometry=geom
+            )
+        )
+        results: List[QueryResult] = []
+        global_answer: Optional[Tuple[Table, bool]] = None
+        empty: Optional[Table] = None
+        for item in items:
+            if not isinstance(item, tuple):
+                results.append(
+                    self.query_union(
+                        item, deadline=deadline, raw_policy=raw_policy, geometry=geom
                     )
-                else:
-                    if filtered_global is None:
-                        filtered_global = store.filtered_global(geom)
-                    filtered, covers = filtered_global
-                    results[i] = QueryResult(
-                        sample=filtered,
-                        source="global",
-                        cell=cells[i],
-                        data_system_seconds=elapsed,
-                        guarantee=(
-                            GuaranteeStatus.CERTIFIED
-                            if covers
-                            else GuaranteeStatus.DOWNGRADED
-                        ),
-                        detail="" if covers else _SPATIAL_DETAIL,
-                        spatial_filtered=True,
+                )
+                continue
+            kind, sample = next(lookups)
+            if kind == "degraded" and not store.is_degraded(item):
+                # An earlier item's ladder already rebound this cell.
+                kind, sample = store.resolve_many([item], geometry=geom)[0]
+            if kind == "degraded":
+                results.append(
+                    self._degraded_answer(
+                        item, started, deadline=deadline, raw_policy=raw_policy,
+                        geometry=geom,
                     )
+                )
+                continue
+            covers = kind != "local_filtered"
+            if kind == "global":
+                if global_answer is None:
+                    global_answer = (
+                        (store.global_sample.table, True)
+                        if geom is None
+                        else store.filtered_global(geom)
+                    )
+                sample, covers = global_answer
             elif kind == "empty":
-                if empty_sample is None:
-                    empty_sample = Table.empty_like(self.table)
-                results[i] = QueryResult(
-                    sample=empty_sample,
-                    source="empty",
-                    cell=cells[i],
-                    data_system_seconds=elapsed,
-                    guarantee=GuaranteeStatus.CERTIFIED,
+                if empty is None:
+                    empty = Table.empty_like(self.table)
+                sample = empty
+            assert sample is not None
+            results.append(
+                QueryResult(
+                    sample=sample,
+                    source="local" if kind.startswith("local") else kind,
+                    cell=item,
+                    data_system_seconds=time.perf_counter() - started,
+                    guarantee=(
+                        GuaranteeStatus.CERTIFIED if covers else GuaranteeStatus.DOWNGRADED
+                    ),
+                    detail="" if covers else _SPATIAL_DETAIL,
                     spatial_filtered=geom is not None,
                 )
-            else:  # "degraded" or "stale": the per-query protocol owns it
-                slow.append(i)
-
-        for i in slow:
-            results[i] = self.query(
-                wheres[i], deadline=deadline, raw_policy=raw_policy, geometry=geom
             )
         return results
 
@@ -980,10 +831,9 @@ class Tabula:
         details = []
         raw_blocked = False
         spatial_filtered = False
-        for query in cell_queries:
-            result = self.query(
-                query, deadline=deadline, raw_policy=raw_policy, geometry=geometry
-            )
+        for result in self.query_many(
+            cell_queries, deadline=deadline, raw_policy=raw_policy, geometry=geometry
+        ):
             spatial_filtered = spatial_filtered or result.spatial_filtered
             cells.append(result.cell)
             statuses.append(result.guarantee)

@@ -10,7 +10,7 @@ semantics:
   are fast-rejected with a typed ``SHED`` outcome instead of queueing
   unboundedly (overload degrades throughput, never memory);
 - **deadlines** — each request carries a budget that propagates into
-  ``Tabula.query`` (cutting off the expensive raw-scan rung) and bounds
+  ``Tabula.query_many`` (cutting off the expensive raw-scan rung) and bounds
   how long the submitting caller waits on the queue + execution;
 - **circuit breaker** — the raw-table fallback is guarded by a shared
   :class:`~repro.serving.breaker.CircuitBreaker`: when the backend
@@ -93,9 +93,9 @@ class ServingConfig:
             carry their own (``None`` = unlimited).
         breaker: circuit-breaker parameters for the raw-scan fallback.
         stats_window: ring-buffer size for latency percentiles.
-        min_service_seconds: artificial per-request service-time floor.
-            Zero in production; overload benchmarks and tests raise it
-            to create deterministic queue pressure.
+
+    Overload drills that need a per-request service-time floor arm a
+    ``Hang`` fault at :data:`FP_EXECUTE` instead of a config knob.
     """
 
     workers: int = 4
@@ -103,7 +103,6 @@ class ServingConfig:
     default_deadline_seconds: Optional[float] = None
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     stats_window: int = 1024
-    min_service_seconds: float = 0.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -161,18 +160,16 @@ class ReloadResult:
 
 
 class _Request:
-    __slots__ = ("where", "deadline", "future", "batch", "geometry")
+    __slots__ = ("wheres", "deadline", "future", "geometry")
 
     def __init__(
         self,
-        where: Union[WhereClause, List[WhereClause]],
+        wheres: List[WhereClause],
         deadline: Optional[Deadline],
-        batch: bool = False,
         geometry: Optional[spatial.Geometry] = None,
     ) -> None:
-        self.where = where  # one WHERE clause, or a list of them when batch
+        self.wheres = wheres
         self.deadline = deadline
-        self.batch = batch
         self.geometry = geometry  # parsed before admission (shared by a batch)
         self.future: Future = Future()
 
@@ -269,64 +266,15 @@ class ServingGateway:
         deadline: Optional[Deadline] = None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> ServingResponse:
-        """Admit, execute and disposition one dashboard request.
-
-        Never blocks past the request's deadline: a full queue sheds
-        immediately and an expired budget abandons the slot (the worker
-        double-checks the deadline before doing any work).
-
-        ``geometry`` is parsed *before* admission, so a malformed
-        viewport raises TAB701 without occupying a queue slot or
-        polluting the error counters — it is a client mistake, not a
-        serving failure.
+        """Admit, execute and disposition one request: a batch of one.
 
         Raises:
             TabulaError: the gateway is closed, or the request itself is
                 invalid (``InvalidQueryError`` from the query path).
         """
-        if self._closed:
-            raise TabulaError("serving gateway is closed")
-        geom = spatial.parse_geometry(geometry) if geometry is not None else None
-        started = time.perf_counter()
-        if deadline is None:
-            seconds = (
-                deadline_seconds
-                if deadline_seconds is not None
-                else self.config.default_deadline_seconds
-            )
-            if seconds is not None:
-                deadline = Deadline.after(seconds)
-        request = _Request(where, deadline, geometry=geom)
-        try:
-            self._queue.put_nowait(request)
-        except queue.Full:
-            return self._disposed(
-                ServingOutcome.SHED,
-                started,
-                detail=(
-                    f"admission queue full ({self.config.queue_depth} waiting); "
-                    "request shed"
-                ),
-            )
-        timeout = deadline.remaining() if deadline is not None else None
-        try:
-            result, generation = request.future.result(timeout=timeout)
-        except FutureTimeout:
-            return self._disposed(
-                ServingOutcome.DEADLINE_EXCEEDED,
-                started,
-                detail="deadline expired while queued or executing",
-            )
-        except DeadlineExceeded as exc:
-            return self._disposed(
-                ServingOutcome.DEADLINE_EXCEEDED, started, detail=str(exc)
-            )
-        except Exception:
-            with self._stats_lock:
-                self._errors += 1
-                self._requests_total += 1
-            raise
-        return self._answered(result, generation, started)
+        return self.query_many(
+            [where], deadline_seconds=deadline_seconds, deadline=deadline, geometry=geometry
+        )[0]
 
     def query_many(
         self,
@@ -340,22 +288,32 @@ class ServingGateway:
         The whole batch occupies a single admission-queue slot and runs
         through :meth:`Tabula.query_many` on one worker — one snapshot
         pin and one store-lock acquisition for the common certified
-        path, which is what makes viewport-sized batches cheap. The
-        deadline covers the batch as a whole. Admission is
-        all-or-nothing: a full queue sheds every item (per-item
-        admission would defeat the amortization and reorder outcomes).
+        path, which is what makes viewport-sized batches cheap.
+
+        Never blocks past the deadline, which covers the batch as a
+        whole: a full queue sheds immediately and an expired budget
+        abandons the slot (the worker double-checks the deadline before
+        doing any work). Admission is all-or-nothing: a full queue sheds
+        every item (per-item admission would defeat the amortization
+        and reorder outcomes).
 
         Returns one :class:`ServingResponse` per input, in order.
         Counters treat the batch as ``len(wheres)`` requests.
 
         ``geometry`` is one viewport shared by the whole batch, parsed
-        before admission (malformed → TAB701 without counter impact).
+        *before* admission, so a malformed viewport raises TAB701
+        without occupying a queue slot or polluting the error counters
+        — it is a client mistake, not a serving failure.
+
+        Raises:
+            TabulaError: the gateway is closed, or the request itself is
+                invalid (``InvalidQueryError`` from the query path).
         """
         if self._closed:
             raise TabulaError("serving gateway is closed")
         geom = spatial.parse_geometry(geometry) if geometry is not None else None
-        wheres = list(wheres)
-        if not wheres:
+        batch = list(wheres)
+        if not batch:
             return []
         started = time.perf_counter()
         if deadline is None:
@@ -366,31 +324,31 @@ class ServingGateway:
             )
             if seconds is not None:
                 deadline = Deadline.after(seconds)
-        request = _Request(wheres, deadline, batch=True, geometry=geom)
+        request = _Request(batch, deadline, geometry=geom)
         try:
             self._queue.put_nowait(request)
         except queue.Full:
+            shed = "request" if len(batch) == 1 else f"batch of {len(batch)}"
             detail = (
-                f"admission queue full ({self.config.queue_depth} waiting); "
-                f"batch of {len(wheres)} shed"
+                f"admission queue full ({self.config.queue_depth} waiting); {shed} shed"
             )
-            return self._disposed_batch(ServingOutcome.SHED, started, detail, len(wheres))
+            return self._disposed_batch(ServingOutcome.SHED, started, detail, len(batch))
         timeout = deadline.remaining() if deadline is not None else None
         try:
             results, generation = request.future.result(timeout=timeout)
         except FutureTimeout:
             detail = "deadline expired while queued or executing"
             return self._disposed_batch(
-                ServingOutcome.DEADLINE_EXCEEDED, started, detail, len(wheres)
+                ServingOutcome.DEADLINE_EXCEEDED, started, detail, len(batch)
             )
         except DeadlineExceeded as exc:
             return self._disposed_batch(
-                ServingOutcome.DEADLINE_EXCEEDED, started, str(exc), len(wheres)
+                ServingOutcome.DEADLINE_EXCEEDED, started, str(exc), len(batch)
             )
         except Exception:
             with self._stats_lock:
                 self._errors += 1
-                self._requests_total += len(wheres)
+                self._requests_total += len(batch)
             raise
         return [self._answered(result, generation, started) for result in results]
 
@@ -426,11 +384,6 @@ class ServingGateway:
             spatial_filtered=result.spatial_filtered,
             staleness_batches=staleness,
         )
-
-    def _disposed(
-        self, outcome: ServingOutcome, started: float, detail: str
-    ) -> ServingResponse:
-        return self._disposed_batch(outcome, started, detail, 1)[0]
 
     def _disposed_batch(
         self, outcome: ServingOutcome, started: float, detail: str, count: int
@@ -471,24 +424,14 @@ class ServingGateway:
             snapshot = self._snapshot  # pin a generation for this request
             try:
                 fault_point(FP_EXECUTE)
-                if self.config.min_service_seconds:
-                    time.sleep(self.config.min_service_seconds)
                 if request.deadline is not None:
                     request.deadline.check("while queued for a worker")
-                if request.batch:
-                    result = snapshot.tabula.query_many(
-                        request.where,
-                        deadline=request.deadline,
-                        raw_policy=self.breaker,
-                        geometry=request.geometry,
-                    )
-                else:
-                    result = snapshot.tabula.query(
-                        request.where,
-                        deadline=request.deadline,
-                        raw_policy=self.breaker,
-                        geometry=request.geometry,
-                    )
+                result = snapshot.tabula.query_many(
+                    request.wheres,
+                    deadline=request.deadline,
+                    raw_policy=self.breaker,
+                    geometry=request.geometry,
+                )
             except Exception as exc:
                 request.future.set_exception(exc)
             else:

@@ -48,10 +48,11 @@ guarantee transitions are monotone (see
 - ``POST /reload`` — hot-swap the cube file (body ``{"path": ...}``
   optional); a corrupt replacement rolls back and reports 409.
 
-Status mapping: answered requests (``OK`` / ``DEGRADED`` /
-``CIRCUIT_OPEN``) are 200 — degradation is carried in the body, the
-dashboard still renders; ``SHED`` is 503 with ``Retry-After``;
-``DEADLINE_EXCEEDED`` is 504; malformed requests are 400.
+Status mapping: a single query is a batch of one, and one rule covers
+both — 503 with ``Retry-After`` when every item was ``SHED``, 504 when
+every item hit ``DEADLINE_EXCEEDED``, otherwise 200: degradation
+(``DEGRADED`` / ``CIRCUIT_OPEN``) is carried in the body and the
+dashboard still renders. Malformed requests are 400.
 """
 
 from __future__ import annotations
@@ -64,14 +65,6 @@ from urllib.parse import parse_qsl, urlsplit
 
 from repro.errors import TabulaError
 from repro.serving.gateway import ReloadResult, ServingOutcome, ServingResponse
-
-_STATUS = {
-    ServingOutcome.OK: 200,
-    ServingOutcome.DEGRADED: 200,
-    ServingOutcome.CIRCUIT_OPEN: 200,
-    ServingOutcome.SHED: 503,
-    ServingOutcome.DEADLINE_EXCEEDED: 504,
-}
 
 _RESERVED_PARAMS = ("deadline_seconds", "limit", "geometry", "f", "progressive")
 
@@ -339,14 +332,11 @@ class _GatewayHandler(BaseHTTPRequestHandler):
             self._handle_progressive(where, deadline_seconds, limit, geometry)
             return
         try:
-            if is_batch:
-                responses = self.gateway.query_many(
-                    where, deadline_seconds=deadline_seconds, geometry=geometry
-                )
-            else:
-                response = self.gateway.query(
-                    where, deadline_seconds=deadline_seconds, geometry=geometry
-                )
+            responses = self.gateway.query_many(
+                where if is_batch else [where],
+                deadline_seconds=deadline_seconds,
+                geometry=geometry,
+            )
         except TabulaError as exc:
             self._send_json(
                 400,
@@ -356,26 +346,21 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 },
             )
             return
+        # A dashboard renders answered tiles either way, so only an
+        # all-shed or all-expired request is an error status.
+        outcomes = {r.outcome for r in responses}
+        if responses and outcomes == {ServingOutcome.SHED}:
+            status, retry_after = 503, _retry_after()
+        elif responses and outcomes == {ServingOutcome.DEADLINE_EXCEEDED}:
+            status, retry_after = 504, None
+        else:
+            status, retry_after = 200, None
+        payload: Dict[str, object]
         if is_batch:
-            outcomes = {r.outcome for r in responses}
-            if responses and outcomes == {ServingOutcome.SHED}:
-                status, retry_after = 503, _retry_after()
-            elif responses and outcomes == {ServingOutcome.DEADLINE_EXCEEDED}:
-                status, retry_after = 504, None
-            else:
-                status, retry_after = 200, None
-            self._send_json(
-                status,
-                {"results": [response_to_json(r, limit=limit) for r in responses]},
-                retry_after=retry_after,
-            )
-            return
-        status = _STATUS[response.outcome]
-        self._send_json(
-            status,
-            response_to_json(response, limit=limit),
-            retry_after=_retry_after() if response.outcome is ServingOutcome.SHED else None,
-        )
+            payload = {"results": [response_to_json(r, limit=limit) for r in responses]}
+        else:
+            payload = response_to_json(responses[0], limit=limit)
+        self._send_json(status, payload, retry_after=retry_after)
 
     def _handle_progressive(
         self,

@@ -187,54 +187,10 @@ class ShardRouter:
         deadline: Optional[Deadline] = None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> ServingResponse:
-        """Route one request down the owner → replica → local ladder.
-
-        Raises only for caller bugs (closed router, invalid query or
-        malformed geometry — mapped to HTTP 400 upstream; geometry is
-        parsed *before* any RPC).  Worker death, partitions and open
-        breakers all come back as typed responses; there is no failure
-        mode that surfaces as an unhandled exception / HTTP 500 while
-        the local fallback rung exists.
-        """
-        if self._closed:
-            raise TabulaError("shard router is closed")
-        geom = spatial.parse_geometry(geometry) if geometry is not None else None
-        started = time.perf_counter()
-        if deadline is None and deadline_seconds is not None:
-            deadline = Deadline.after(deadline_seconds)
-        cell = self._fallback.cell_for(where)  # raises InvalidQueryError → 400
-        owner = self.placement.shard_of(cell)
-        payload: Dict[str, Any] = {
-            "op": "query",
-            "where": _plain_where(where),
-            "row_limit": self.config.wire_row_limit,
-        }
-        if geom is not None:
-            payload["geometry"] = geom.to_dict()
-        notes: List[str] = []
-
-        reply, owner_reason = self._call_shard(owner, payload, deadline=deadline, hedge=True)
-        response = self._response_from_reply(reply, owner, notes)
-        if response is not None:
-            return self._finish(response, started)
-
-        if self.config.failover_attempts > 0:
-            tried = 0
-            for shard in self.placement.fallback_order(cell)[1:]:
-                if tried >= self.config.failover_attempts:
-                    break
-                if deadline is not None and deadline.expired:
-                    break
-                tried += 1
-                self._count_rpc("failovers")
-                reply, _ = self._call_shard(shard, payload, deadline=deadline, hedge=False)
-                response = self._response_from_reply(reply, shard, notes)
-                if response is not None:
-                    response.detail = _join_detail(response.detail, notes)
-                    return self._finish(response, started)
-
-        response = self._local_answer(where, deadline, notes, owner_reason, geometry=geom)
-        return self._finish(response, started)
+        """Route one request: a batch of one (:meth:`query_many`)."""
+        return self.query_many(
+            [where], deadline_seconds=deadline_seconds, deadline=deadline, geometry=geometry
+        )[0]
 
     def query_many(
         self,
@@ -243,12 +199,21 @@ class ShardRouter:
         deadline: Optional[Deadline] = None,
         geometry: Optional[spatial.GeometrySpec] = None,
     ) -> List[ServingResponse]:
-        """Batch routing: group by owner shard, one RPC per group.
+        """Group a batch by owner shard; route each group down the ladder.
 
-        A group whose shard cannot answer degrades to the local fallback
-        *per group*, so one dead shard never poisons the whole batch.
-        ``geometry`` is one viewport shared by every item (parsed before
-        any RPC; malformed → 400 upstream).
+        Each group is one RPC per rung: the owner (hedged when
+        ``hedge_threshold_seconds`` is set), then up to
+        ``failover_attempts`` replicas in the group's ring order, then
+        the local fallback — so one dead shard never poisons the whole
+        batch. ``geometry`` is one viewport shared by every item.
+
+        Raises only for caller bugs (closed router, invalid query or
+        malformed geometry — mapped to HTTP 400 upstream; every item
+        and the geometry are validated *before* any RPC).  Worker
+        death, partitions and open breakers all come back as typed
+        responses; there is no failure mode that surfaces as an
+        unhandled exception / HTTP 500 while the local fallback rung
+        exists.
         """
         if self._closed:
             raise TabulaError("shard router is closed")
@@ -263,33 +228,52 @@ class ShardRouter:
         groups: Dict[int, List[int]] = {}
         for index, cell in enumerate(cells):
             groups.setdefault(self.placement.shard_of(cell), []).append(index)
-        results: List[Optional[ServingResponse]] = [None] * len(batch)
-        for shard, indices in groups.items():
-            payload: Dict[str, Any] = {
-                "op": "query_many",
-                "wheres": [_plain_where(batch[i]) for i in indices],
-                "row_limit": self.config.wire_row_limit,
-            }
-            if geom is not None:
-                payload["geometry"] = geom.to_dict()
-            reply, reason = self._call_shard(shard, payload, deadline=deadline)
-            documents = reply.get("responses") if reply is not None and reply.get("ok") else None
-            if isinstance(documents, list) and len(documents) == len(indices):
-                for index, document in zip(indices, documents):
-                    results[index] = wire.response_from_wire(document)
-            else:
-                group_notes: List[str] = []
-                if reply is not None and not reply.get("ok"):
-                    group_notes.append(f"shard {shard}: {reply.get('error')}")
-                for index in indices:
-                    results[index] = self._local_answer(
-                        batch[index], deadline, list(group_notes), reason, geometry=geom
-                    )
-        finished: List[ServingResponse] = []
-        for maybe in results:
-            assert maybe is not None  # every index filled above
-            finished.append(self._finish(maybe, started))
-        return finished
+        results: Dict[int, ServingResponse] = {}
+        for indices in groups.values():
+            responses = self._route_group(
+                cells[indices[0]], [batch[i] for i in indices], deadline, geom
+            )
+            for index, response in zip(indices, responses):
+                results[index] = self._finish(response, started)
+        return [results[index] for index in range(len(batch))]
+
+    def _route_group(
+        self,
+        cell: object,
+        wheres: List[Dict[str, Any]],
+        deadline: Optional[Deadline],
+        geom: Optional[spatial.Geometry],
+    ) -> List[ServingResponse]:
+        """One owner group down the owner → replica → local ladder.
+
+        ``cell`` is the group's first cell; its ring order names the
+        owner and the replicas (a replica holds no foreign cell, so any
+        of them answers the whole group from the global sample).
+        """
+        payload: Dict[str, Any] = {
+            "op": "query_many",
+            "wheres": [_plain_where(w) for w in wheres],
+            "row_limit": self.config.wire_row_limit,
+        }
+        if geom is not None:
+            payload["geometry"] = geom.to_dict()
+        order = self.placement.fallback_order(cell)
+        notes: List[str] = []
+        reply, owner_reason = self._call_shard(order[0], payload, deadline=deadline, hedge=True)
+        responses = self._responses_from_reply(reply, order[0], len(wheres), notes)
+        if responses is not None:
+            return responses
+        for shard in order[1 : 1 + max(0, self.config.failover_attempts)]:
+            if deadline is not None and deadline.expired:
+                break
+            self._count_rpc("failovers")
+            reply, _ = self._call_shard(shard, payload, deadline=deadline)
+            responses = self._responses_from_reply(reply, shard, len(wheres), notes)
+            if responses is not None:
+                for response in responses:
+                    response.detail = _join_detail(response.detail, notes)
+                return responses
+        return self._local_answers(wheres, deadline, notes, owner_reason, geometry=geom)
 
     def stats(self) -> Dict[str, Any]:
         with self._stats_lock:
@@ -542,13 +526,14 @@ class ShardRouter:
     # ------------------------------------------------------------------
     # Disposal
     # ------------------------------------------------------------------
-    def _response_from_reply(
+    def _responses_from_reply(
         self,
         reply: Optional[Dict[str, Any]],
         shard: int,
+        count: int,
         notes: List[str],
-    ) -> Optional[ServingResponse]:
-        """Decode a single-query reply; ``None`` means "try the next rung"."""
+    ) -> Optional[List[ServingResponse]]:
+        """Decode a group's reply; ``None`` means "try the next rung"."""
         if reply is None:
             notes.append(f"shard {shard} unavailable")
             return None
@@ -557,20 +542,20 @@ class ShardRouter:
                 raise TabulaError(str(reply.get("error", "invalid request")))
             notes.append(f"shard {shard}: {reply.get('error', 'internal error')}")
             return None
-        document = reply.get("response")
-        if not isinstance(document, dict):
+        documents = reply.get("responses")
+        if not isinstance(documents, list) or len(documents) != count:
             notes.append(f"shard {shard}: malformed reply")
             return None
-        return wire.response_from_wire(document)
+        return [wire.response_from_wire(document) for document in documents]
 
-    def _local_answer(
+    def _local_answers(
         self,
-        where: WhereClause,
+        wheres: List[Dict[str, Any]],
         deadline: Optional[Deadline],
         notes: List[str],
         owner_reason: str,
         geometry: Optional[spatial.Geometry] = None,
-    ) -> ServingResponse:
+    ) -> List[ServingResponse]:
         """The last rung: the router's own global-sample slice.
 
         The fallback store owns no cells, so an iceberg cell answers
@@ -580,42 +565,50 @@ class ShardRouter:
         *spatially filtered* global sample — a viewport query through
         this rung must never silently ignore its filter.
         """
-        self._count_rpc("fallback_local")
-        circuit_open = owner_reason == _REASON_BREAKER
+        self._count_rpc("fallback_local", len(wheres))
         try:
-            result = self._fallback.query(dict(where), deadline=deadline, geometry=geometry)
+            results = self._fallback.query_many(wheres, deadline=deadline, geometry=geometry)
         except DeadlineExceeded as exc:
-            return ServingResponse(
-                outcome=ServingOutcome.DEADLINE_EXCEEDED,
-                guarantee=GuaranteeStatus.VOID,
-                source="",
-                sample=None,
-                cell=None,
-                generation=self._generation,
-                elapsed_seconds=0.0,
-                detail=_join_detail(str(exc), notes),
+            return [
+                ServingResponse(
+                    outcome=ServingOutcome.DEADLINE_EXCEEDED,
+                    guarantee=GuaranteeStatus.VOID,
+                    source="",
+                    sample=None,
+                    cell=None,
+                    generation=self._generation,
+                    elapsed_seconds=0.0,
+                    detail=_join_detail(str(exc), notes),
+                )
+                for _ in wheres
+            ]
+        circuit_open = owner_reason == _REASON_BREAKER
+        limit = self.config.wire_row_limit
+        responses: List[ServingResponse] = []
+        for result in results:
+            if result.guarantee is GuaranteeStatus.CERTIFIED:
+                outcome = ServingOutcome.OK
+            elif circuit_open:
+                outcome = ServingOutcome.CIRCUIT_OPEN
+            else:
+                outcome = ServingOutcome.DEGRADED
+            sample = result.sample
+            if limit is not None and sample.num_rows > limit:
+                sample = sample.head(limit)
+            responses.append(
+                ServingResponse(
+                    outcome=outcome,
+                    guarantee=result.guarantee,
+                    source=result.source,
+                    sample=sample,
+                    cell=result.cell,
+                    generation=self._generation,
+                    elapsed_seconds=0.0,
+                    detail=_join_detail(result.detail, notes),
+                    spatial_filtered=result.spatial_filtered,
+                )
             )
-        if result.guarantee is GuaranteeStatus.CERTIFIED:
-            outcome = ServingOutcome.OK
-        elif circuit_open:
-            outcome = ServingOutcome.CIRCUIT_OPEN
-        else:
-            outcome = ServingOutcome.DEGRADED
-        sample = result.sample
-        if self.config.wire_row_limit is not None and sample is not None:
-            if sample.num_rows > self.config.wire_row_limit:
-                sample = sample.head(self.config.wire_row_limit)
-        return ServingResponse(
-            outcome=outcome,
-            guarantee=result.guarantee,
-            source=result.source,
-            sample=sample,
-            cell=result.cell,
-            generation=self._generation,
-            elapsed_seconds=0.0,
-            detail=_join_detail(result.detail, notes),
-            spatial_filtered=result.spatial_filtered,
-        )
+        return responses
 
     def _finish(self, response: ServingResponse, started: float) -> ServingResponse:
         response.elapsed_seconds = time.perf_counter() - started
@@ -624,9 +617,9 @@ class ShardRouter:
             self._requests_total += 1
         return response
 
-    def _count_rpc(self, key: str) -> None:
+    def _count_rpc(self, key: str, count: int = 1) -> None:
         with self._stats_lock:
-            self._rpc_counters[key] += 1
+            self._rpc_counters[key] += count
 
     def breaker_state(self, shard: int) -> BreakerState:
         return self._breakers[shard].state

@@ -216,16 +216,6 @@ class ShardWorker:
 
     def _handle(self, request: Mapping[str, Any]) -> Dict[str, Any]:
         op = request.get("op")
-        if op == "query":
-            fault_point(FP_HANDLE)
-            deadline = _deadline_from(request)
-            response = self._gateway.query(
-                dict(request.get("where") or {}),
-                deadline=deadline,
-                geometry=request.get("geometry"),
-            )
-            limit = _row_limit(request)
-            return {"ok": True, "response": wire.response_to_wire(response, row_limit=limit)}
         if op == "query_many":
             fault_point(FP_HANDLE)
             deadline = _deadline_from(request)
@@ -325,7 +315,6 @@ def build_worker(args: argparse.Namespace) -> ShardWorker:
         workers=args.workers,
         queue_depth=args.queue_depth,
         default_deadline_seconds=args.deadline,
-        min_service_seconds=args.min_service_seconds,
     )
     ingest: Optional[WorkerIngest] = None
     if getattr(args, "ingest_dir", None):
@@ -382,7 +371,6 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--queue-depth", type=int, default=32)
     parser.add_argument("--deadline", type=float, default=None)
-    parser.add_argument("--min-service-seconds", type=float, default=0.0)
     parser.add_argument("--loss-sql", default=None)
     parser.add_argument(
         "--ingest-dir",

@@ -137,7 +137,11 @@ class WorkerProcess:
 
 
 class SpawnedWorker(WorkerProcess):
-    """A real shard-worker subprocess plus its parsed ready handshake."""
+    """A real shard-worker subprocess plus its parsed ready handshake.
+
+    Reaping the process (``poll``/``wait`` seeing it exit) also closes
+    its handshake pipe, so no restart cycle leaks a file descriptor.
+    """
 
     def __init__(self, process: "subprocess.Popen[str]", port: int) -> None:
         self._process = process
@@ -148,7 +152,10 @@ class SpawnedWorker(WorkerProcess):
         return self._process.pid
 
     def poll(self) -> Optional[int]:
-        return self._process.poll()
+        code = self._process.poll()
+        if code is not None:
+            _close_stdout(self._process)
+        return code
 
     def terminate(self) -> None:
         self._process.terminate()
@@ -157,7 +164,14 @@ class SpawnedWorker(WorkerProcess):
         self._process.kill()
 
     def wait(self, timeout: Optional[float] = None) -> int:
-        return self._process.wait(timeout=timeout)
+        code = self._process.wait(timeout=timeout)
+        _close_stdout(self._process)
+        return code
+
+
+def _close_stdout(process: "subprocess.Popen[str]") -> None:
+    if process.stdout is not None:
+        process.stdout.close()
 
 
 def default_worker_factory(
@@ -193,25 +207,24 @@ def default_worker_factory(
         reader = threading.Thread(target=read_handshake, daemon=True)
         reader.start()
         reader.join(ready_timeout_seconds)
-        if not lines or not lines[0].strip():
+
+        def rejected(message: str) -> WorkerSpawnError:
             process.kill()
-            code = process.poll()
-            raise WorkerSpawnError(
-                f"shard {shard} worker produced no ready handshake within "
-                f"{ready_timeout_seconds}s (exit code {code})"
+            code = process.wait()
+            reader.join(1.0)  # the dead child's pipe is at EOF
+            _close_stdout(process)
+            return WorkerSpawnError(f"shard {shard} worker {message} (exit code {code})")
+
+        if not lines or not lines[0].strip():
+            raise rejected(
+                f"produced no ready handshake within {ready_timeout_seconds}s"
             )
         try:
             handshake = json.loads(lines[0])
         except json.JSONDecodeError as exc:
-            process.kill()
-            raise WorkerSpawnError(
-                f"shard {shard} worker handshake is not JSON: {lines[0]!r}"
-            ) from exc
+            raise rejected(f"handshake is not JSON: {lines[0]!r}") from exc
         if handshake.get("event") != "ready" or "port" not in handshake:
-            process.kill()
-            raise WorkerSpawnError(
-                f"shard {shard} worker handshake malformed: {handshake!r}"
-            )
+            raise rejected(f"handshake malformed: {handshake!r}")
         return SpawnedWorker(process, int(handshake["port"]))
 
     return spawn

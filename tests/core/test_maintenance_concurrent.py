@@ -1,12 +1,14 @@
 """Query fallback ladder under concurrent maintenance.
 
 The dangerous window: ``append_rows`` re-points a cell at a fresh
-sample and collects the orphaned old one. A reader that resolved the
-old sample id just before the swap would find ``sample_for_id`` empty
-— and must *re-resolve the pointer*, not mark the cell degraded (let
-alone answer VOID): the cell had a valid sample the whole time.
+sample and collects the orphaned old one. A reader racing that swap
+must still see a consistent pointer and sample — never mark the cell
+degraded (let alone answer VOID): the cell had a valid sample the
+whole time. Both ``query`` and ``query_many`` read pointer and sample
+under the store's swap lock, which these tests check by racing them.
 """
 
+import sys
 import threading
 
 import pytest
@@ -35,60 +37,73 @@ def _query_of(cell):
     return {attr: value for attr, value in zip(ATTRS, cell) if value is not None}
 
 
-class TestStalePointerRetry:
-    def test_swapped_sample_mid_read_is_retried_not_degraded(self, monkeypatch):
-        """Deterministic replay of the race: the reader sees the
-        pre-swap sample id, the swap lands, the old sample is collected.
-        The query must retry the pointer and stay CERTIFIED."""
-        tabula = make_tabula()
-        store = tabula.store
-        cell = next(iter(store._cell_to_sample_id))
-        old_sid = store.sample_id_of(cell)
-        sample = store.sample_for_id(old_sid)
-        new_sid = store.assign_new_sample(cell, sample)  # the concurrent swap
-        assert new_sid != old_sid
+def _uncertified(queries, results):
+    """Racing answers for materialized cells that lost the certificate.
 
-        real_id_of = store.sample_id_of
-        real_for_id = store.sample_for_id
-        seen = {"calls": 0}
+    A racing append may demote a cell to the global sample, which is
+    still CERTIFIED; anything weaker means a reader saw a torn swap.
+    """
+    return [
+        (query, result.source, result.detail)
+        for query, result in zip(queries, results)
+        if result.guarantee is not GuaranteeStatus.CERTIFIED
+    ]
 
-        def stale_once(c):
-            seen["calls"] += 1
-            return old_sid if seen["calls"] == 1 else real_id_of(c)
 
-        # The old sample id resolves to nothing, as after orphan
-        # collection (the old sample may survive here only because the
-        # selection stage shares samples between cells).
-        monkeypatch.setattr(store, "sample_id_of", stale_once)
-        monkeypatch.setattr(
-            store,
-            "sample_for_id",
-            lambda sid: None if sid == old_sid else real_for_id(sid),
-        )
-        result = tabula.query(_query_of(cell))
-        assert result.guarantee is GuaranteeStatus.CERTIFIED
-        assert result.source == "local"
-        assert not store.is_degraded(cell)
-        assert seen["calls"] == 2  # the retry resolved the fresh pointer
-
-    def test_truly_dangling_pointer_still_degrades_honestly(self, monkeypatch):
-        """The retry must not paper over real corruption: a pointer that
-        stays dangling after re-resolution degrades as before."""
+class TestDanglingPointer:
+    def test_truly_dangling_pointer_still_degrades_honestly(self):
+        """A pointer whose sample bytes are gone is real corruption: the
+        cell degrades and the ladder answers, naming the lost sample."""
         tabula = make_tabula()
         store = tabula.store
         cell = next(iter(store._cell_to_sample_id))
         sid = store.sample_id_of(cell)
-        monkeypatch.setattr(store, "sample_for_id", lambda _sid: None)
+        del store._samples[sid]
         result = tabula.query(_query_of(cell))
         # The ladder still answers (never VOID for a populated cell) and
-        # the degradation is recorded honestly, not silently retried away.
+        # the degradation is recorded honestly.
         assert result.guarantee is not GuaranteeStatus.VOID
         assert result.source in {"representative", "global", "raw"}
         assert str(sid) in result.detail
 
 
+class TestSwapInProgress:
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_reader_waits_out_a_swap_in_progress(self, batched):
+        """Deterministic replay of the race: a writer holds the swap
+        lock in the torn state (pointer still names a sample whose bytes
+        are gone). A reader arriving then must wait for the swap to
+        finish and answer CERTIFIED, never degrade the cell."""
+        tabula = make_tabula()
+        store = tabula.store
+        cell = next(iter(store._cell_to_sample_id))
+        sid = store.sample_id_of(cell)
+        results = []
+
+        def reader():
+            if batched:
+                results.extend(tabula.query_many([_query_of(cell)]))
+            else:
+                results.append(tabula.query(_query_of(cell)))
+
+        thread = threading.Thread(target=reader)
+        with store._swap_lock:
+            sample = store._samples.pop(sid)
+            thread.start()
+            thread.join(timeout=0.2)  # the reader is now blocked on the lock
+            store._samples[sid] = sample
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [(r.source, r.guarantee) for r in results] == [
+            ("local", GuaranteeStatus.CERTIFIED)
+        ]
+        assert not store.is_degraded(cell)
+
+
 class TestAppendRacingReader:
     def test_reader_never_sees_void_during_appends(self):
+        """Single and batched readers racing appends get CERTIFIED
+        answers, and no cell is left degraded."""
         tabula = make_tabula()
         store = tabula.store
         queries = [_query_of(cell) for cell in list(store._cell_to_sample_id)]
@@ -98,29 +113,33 @@ class TestAppendRacingReader:
         violations = []
         errors = []
 
-        def reader():
+        def reader(batched):
             while not stop.is_set():
-                for query in queries:
-                    try:
-                        result = tabula.query(query)
-                    except Exception as exc:  # noqa: BLE001 - fail the test
-                        errors.append(repr(exc))
-                        return
-                    if result.guarantee is GuaranteeStatus.VOID:
-                        violations.append((query, result.detail))
+                try:
+                    if batched:
+                        results = tabula.query_many(queries)
+                    else:
+                        results = [tabula.query(query) for query in queries]
+                except Exception as exc:  # noqa: BLE001 - fail the test
+                    errors.append(repr(exc))
+                    return
+                violations.extend(_uncertified(queries, results))
 
-        thread = threading.Thread(target=reader)
-        thread.start()
+        threads = [threading.Thread(target=reader, args=(b,)) for b in (False, True)]
+        for thread in threads:
+            thread.start()
         try:
             for batch in range(4):
                 delta = generate_nyctaxi(num_rows=150, seed=100 + batch)
                 append_rows(tabula, delta, seed=batch)
         finally:
             stop.set()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert violations == []
+        assert store.degraded_cells == {}
 
     def test_quiescent_queries_certified_after_appends(self):
         tabula = make_tabula()
@@ -180,23 +199,25 @@ class TestMultiWriterSerialization:
             assert result.guarantee is GuaranteeStatus.CERTIFIED
 
     def test_writers_and_readers_mixed(self):
-        """Writers serialize while readers keep getting honest answers
-        (the stale-pointer retry absorbs mid-swap reads)."""
+        """Writers serialize while single and batched readers keep
+        getting certified answers for every materialized cell."""
         tabula = make_tabula()
         cells = list(tabula.store._cell_to_sample_id)[:4]
         stop = threading.Event()
         problems = []
 
-        def reader():
-            while not stop.is_set():
-                for cell in cells:
-                    result = tabula.query(_query_of(cell))
-                    if result.guarantee is GuaranteeStatus.VOID:
-                        problems.append(("void", cell))
+        queries = [_query_of(cell) for cell in cells]
 
-        readers = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in readers:
-            thread.start()
+        def reader(batched):
+            try:
+                while not stop.is_set():
+                    if batched:
+                        results = tabula.query_many(queries)
+                    else:
+                        results = [tabula.query(query) for query in queries]
+                    problems.extend(_uncertified(queries, results))
+            except Exception as exc:  # noqa: BLE001 - recorded for the assert
+                problems.append(("reader", exc))
 
         def writer(offset):
             try:
@@ -206,9 +227,14 @@ class TestMultiWriterSerialization:
             except Exception as exc:  # noqa: BLE001 - recorded for the assert
                 problems.append(("writer", exc))
 
+        readers = [threading.Thread(target=reader, args=(b,)) for b in (False, True)]
         writers = [threading.Thread(target=writer, args=(300 + 10 * i,)) for i in range(2)]
+        # Frequent thread switches widen the window in which a reader
+        # can land between a writer's pointer swap and its sample GC.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
-            for thread in writers:
+            for thread in readers + writers:
                 thread.start()
             for thread in writers:
                 thread.join(timeout=60)
@@ -216,5 +242,7 @@ class TestMultiWriterSerialization:
             stop.set()
             for thread in readers:
                 thread.join(timeout=30)
+            sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in writers + readers)
         assert problems == []
+        assert tabula.store.degraded_cells == {}

@@ -103,42 +103,22 @@ class TestEquivalence:
         assert batch[0].source in {"representative", "global", "raw"}
         assert_equivalent(batch, sequential)
 
-    def test_stale_pointer_mid_batch_is_retried_not_degraded(self, monkeypatch):
-        """A pointer that raced concurrent maintenance delegates to the
-        per-query retry protocol and stays CERTIFIED."""
-        tabula = make_tabula()
-        store = tabula.store
-        cell = next(iter(store._cell_to_sample_id))
-        old_sid = store.sample_id_of(cell)
-        sample = store.sample_for_id(old_sid)
-        store.assign_new_sample(cell, sample)
-
-        real_resolve = store.resolve_many
-        real_for_id = store.sample_for_id
-
-        def stale_resolve(cells, geometry=None):
-            return [
-                ("stale", None) if c == cell else kind_sample
-                for c, kind_sample in zip(cells, real_resolve(cells, geometry=geometry))
-            ]
-
-        monkeypatch.setattr(store, "resolve_many", stale_resolve)
-        monkeypatch.setattr(
-            store,
-            "sample_for_id",
-            lambda sid: None if sid == old_sid else real_for_id(sid),
-        )
-        result = tabula.query_many([_query_of(cell)])[0]
-        assert result.guarantee is GuaranteeStatus.CERTIFIED
-        assert result.source == "local"
-        assert not store.is_degraded(cell)
+    def test_repeated_degraded_cell_matches_sequential(self):
+        """A batch naming one degraded cell twice answers the second
+        item as N x query would: from the sample the first rebound."""
+        one, two = make_tabula(), make_tabula()
+        cell = next(iter(one.store._cell_to_sample_id))
+        one.store.mark_degraded(cell, "checksum mismatch (test)")
+        two.store.mark_degraded(cell, "checksum mismatch (test)")
+        wheres = [_query_of(cell), _query_of(cell)]
+        assert_equivalent(one.query_many(wheres), [two.query(w) for w in wheres])
 
 
 class TestConcurrentWriter:
     def test_batches_stay_honest_under_concurrent_appends(self):
-        """query_many never raises or returns VOID while append_rows
-        swaps samples underneath it (the stale-pointer retry absorbs
-        mid-swap reads; the batch resolve itself is lock-consistent)."""
+        """query_many never raises, and answers every materialized cell
+        CERTIFIED, while append_rows swaps samples underneath it (the
+        batch resolve reads pointers and samples under the swap lock)."""
         tabula = make_tabula()
         wheres = [_query_of(cell) for cell in list(tabula.store._cell_to_sample_id)]
         assert wheres
@@ -154,8 +134,10 @@ class TestConcurrentWriter:
                     errors.append(repr(exc))
                     return
                 for where, result in zip(wheres, results):
-                    if result.guarantee is GuaranteeStatus.VOID:
-                        violations.append((where, result.detail))
+                    # A racing append may demote a cell to the global
+                    # sample, which is still CERTIFIED.
+                    if result.guarantee is not GuaranteeStatus.CERTIFIED:
+                        violations.append((where, result.source, result.detail))
 
         thread = threading.Thread(target=reader)
         thread.start()
@@ -169,6 +151,7 @@ class TestConcurrentWriter:
         assert not thread.is_alive()
         assert errors == []
         assert violations == []
+        assert tabula.store.degraded_cells == {}
 
     def test_quiescent_equivalence_after_appends(self):
         tabula = make_tabula()

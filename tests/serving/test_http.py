@@ -4,6 +4,7 @@ import json
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -51,6 +52,18 @@ def served(rides_tiny, tmp_path):
 def get_json(url):
     with urllib.request.urlopen(url, timeout=10) as response:
         return response.status, json.load(response)
+
+
+def fetch_error(request):
+    """``(status, json body, headers)`` of a request that must fail.
+
+    The error's body is closed before returning: an unread, unclosed
+    ``HTTPError`` keeps its socket open.
+    """
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=10)
+    with excinfo.value as error:
+        return error.code, json.load(error), error.headers
 
 
 def post_json(url, payload):
@@ -105,22 +118,17 @@ class TestQueryRoutes:
         request = urllib.request.Request(
             f"{base}/query", data=b"{not json", method="POST"
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
-        assert "error" in json.load(excinfo.value)
+        status, body, _ = fetch_error(request)
+        assert status == 400
+        assert "error" in body
 
     def test_unknown_attribute_is_400(self, served):
         base, _ = served
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{base}/query?nonexistent=1", timeout=10)
-        assert excinfo.value.code == 400
+        assert fetch_error(f"{base}/query?nonexistent=1")[0] == 400
 
     def test_unknown_route_is_404(self, served):
         base, _ = served
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{base}/nope", timeout=10)
-        assert excinfo.value.code == 404
+        assert fetch_error(f"{base}/nope")[0] == 404
 
 
 class TestHealthAndStats:
@@ -160,7 +168,8 @@ class TestSheddingOverHTTP:
             try:
                 status, body = get_json(url)
             except urllib.error.HTTPError as error:
-                status, body = error.code, json.load(error)
+                with error:
+                    status, body = error.code, json.load(error)
                 retry_after = error.headers.get("Retry-After")
             else:
                 retry_after = None
@@ -184,11 +193,12 @@ class TestSheddingOverHTTP:
                 ]
                 for thread in rest:
                     thread.start()
-                for thread in rest:
-                    thread.join(timeout=10)
+                # The overflow is shed at once; the queued clients wait
+                # for the parked workers, so release them only then.
+                assert wait_until(lambda: len(outcomes) >= len(rest) - depth)
             finally:
                 release.set()
-            for thread in stallers:
+            for thread in stallers + rest:
                 thread.join(timeout=10)
 
         shed = [entry for entry in outcomes if entry[0] == 503]
@@ -275,17 +285,16 @@ class TestReloadRoute:
         assert status == 200 and body["ok"] and body["generation"] == 2
 
         cube_path = gateway._snapshot.path
-        payload = json.loads(open(cube_path).read())
+        with open(cube_path) as handle:
+            payload = json.load(handle)
         payload["cube_table"] = []
         with open(cube_path, "w") as handle:
             json.dump(payload, handle)
         request = urllib.request.Request(
             f"{base}/reload", data=b"{}", method="POST"
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 409
-        body = json.load(excinfo.value)
+        status, body, _ = fetch_error(request)
+        assert status == 409
         assert not body["ok"]
         assert body["generation"] == 2  # rollback: generation unchanged
         assert "cube_table" in body["error"]
@@ -336,9 +345,7 @@ class TestBatchedQueryRoute:
                 headers={"Content-Type": "application/json"},
                 method="POST",
             )
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request, timeout=10)
-            assert excinfo.value.code == 400
+            assert fetch_error(request)[0] == 400
 
     def test_unknown_attribute_in_batch_is_400(self, served):
         base, _ = served
@@ -348,9 +355,7 @@ class TestBatchedQueryRoute:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
+        assert fetch_error(request)[0] == 400
 
     def test_fully_shed_batch_is_503(self, rides_tiny):
         """A deterministically saturated single-worker gateway: the one
@@ -386,11 +391,9 @@ class TestBatchedQueryRoute:
                         data=json.dumps({"queries": [where] * 4}).encode("utf-8"),
                         method="POST",
                     )
-                    with pytest.raises(urllib.error.HTTPError) as excinfo:
-                        urllib.request.urlopen(request, timeout=10)
-                    assert excinfo.value.code == 503
-                    assert excinfo.value.headers.get("Retry-After") in {"1", "2", "3"}
-                    body = json.load(excinfo.value)
+                    status, body, headers = fetch_error(request)
+                    assert status == 503
+                    assert headers.get("Retry-After") in {"1", "2", "3"}
                     assert len(body["results"]) == 4
                     assert all(r["outcome"] == "shed" for r in body["results"])
                     assert all(r["guarantee"] == "VOID" for r in body["results"])
@@ -402,3 +405,85 @@ class TestBatchedQueryRoute:
             server.shutdown()
             server.server_close()
             gateway.close()
+
+
+class TestOneQueryPath:
+    """A single query is a batch of one: ``GET /query``, ``POST
+    {"where": w}`` and ``POST {"queries": [w]}`` answer with the same
+    body (apart from timing) for every answer source, with and without
+    a viewport."""
+
+    BBOX = "0.1,0.1,0.6,0.6"
+
+    @pytest.fixture()
+    def cells(self, served):
+        _, gateway = served
+        store = gateway.tabula.store
+        materialized = list(store._cell_to_sample_id)
+        # Pick the unmaterialized cell before degrading one: a degraded
+        # cell loses its pointer and would look unmaterialized too.
+        known_global = next(c for c in store._known_cells if c not in store._cell_to_sample_id)
+
+        def where(cell):
+            return {a: v for a, v in zip(ATTRS, cell) if v is not None}
+
+        return {
+            "local": where(materialized[0]),
+            "global": where(known_global),
+            "empty": {"payment_type": "no_such"},
+            "degraded": where(materialized[1]),
+        }, materialized[1]
+
+    @staticmethod
+    def _untimed(body):
+        return {k: v for k, v in body.items() if k != "elapsed_seconds"}
+
+    @pytest.mark.parametrize("kind", ["local", "global", "empty", "degraded"])
+    @pytest.mark.parametrize("bbox", [False, True])
+    def test_get_post_and_batch_of_one_agree(self, served, cells, kind, bbox):
+        base, gateway = served
+        wheres, degraded_cell = cells
+        where = wheres[kind]
+        params = dict(where, limit=5)
+        post = {"limit": 5}
+        if bbox:
+            params["geometry"] = post["geometry"] = self.BBOX
+
+        def degrade():
+            # Re-degrade before every request: the fallback ladder may
+            # rebind the cell, and each request must start alike.
+            if kind == "degraded":
+                gateway.tabula.store.mark_degraded(degraded_cell, "lost in test")
+
+        degrade()
+        status, by_get = get_json(f"{base}/query?{urllib.parse.urlencode(params)}")
+        assert status == 200
+        degrade()
+        status, by_post = post_json(f"{base}/query", dict(post, where=where))
+        assert status == 200
+        degrade()
+        status, batch = post_json(f"{base}/query", dict(post, queries=[where]))
+        assert status == 200
+        assert len(batch["results"]) == 1
+        assert self._untimed(by_get) == self._untimed(by_post)
+        assert self._untimed(by_get) == self._untimed(batch["results"][0])
+        assert by_get["spatial_filtered"] is bbox
+        expected_source = {
+            "local": {"local"},
+            "global": {"global"},
+            "empty": {"empty"},
+            "degraded": {"representative", "global", "raw"},
+        }[kind]
+        assert by_get["source"] in expected_source
+        if kind == "degraded":
+            assert "lost in test" in by_get["detail"]
+
+    def test_single_expired_deadline_is_504(self, served, cells):
+        base, _ = served
+        wheres, _ = cells
+        params = dict(wheres["local"], deadline_seconds=0)
+        status, body, headers = fetch_error(f"{base}/query?{urllib.parse.urlencode(params)}")
+        assert status == 504
+        assert body["outcome"] == "deadline_exceeded"
+        assert body["rows"] is None
+        assert headers.get("Retry-After") is None

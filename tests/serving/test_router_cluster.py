@@ -199,6 +199,36 @@ class TestKillAndRecovery:
         )
 
 
+    def test_batch_with_dead_owner_fails_over_to_ring_next_replica(self, cluster):
+        """A batch group gets the ladder single queries get: a dead
+        owner's group is answered by the next shard in ring order, not
+        sent straight to the router's local rung."""
+        router, tabula = cluster
+        victim = 1
+        cells = cells_owned_by(tabula, router.placement, victim)[:2]
+        health_before = router.supervisor.health()[victim]
+        restarts_before = health_before["restarts_total"]
+        rpc_before = router.stats()["rpc"]
+        os.kill(health_before["pid"], signal.SIGKILL)
+
+        responses = router.query_many([where_for(c) for c in cells], deadline_seconds=10.0)
+
+        rpc_after = router.stats()["rpc"]
+        assert rpc_after["failovers"] == rpc_before["failovers"] + 1
+        assert rpc_after["fallback_local"] == rpc_before["fallback_local"]
+        for response in responses:
+            # The replica holds no local sample for a foreign cell: it
+            # answers from the replicated global sample, DOWNGRADED.
+            assert response.guarantee is GuaranteeStatus.DOWNGRADED
+            assert response.source == "global"
+            assert f"shard {victim} unavailable" in response.detail
+        assert wait_until(
+            lambda: router.supervisor.health()[victim]["restarts_total"]
+            > restarts_before
+            and router.supervisor.state_of(victim) is WorkerState.UP
+        )
+
+
 class TestReload:
     def test_hot_reload_bumps_generation_everywhere(self, cluster):
         router, tabula = cluster

@@ -345,7 +345,13 @@ class TestServeCommand:
         assert args.handler is cmd_serve
         assert args.queue_depth == 5
         assert args.deadline == 0.5
-        assert args.min_service_seconds == 0.0
+        # The service floor is a Hang fault (REPRO_FAULTS), not a flag.
+        assert not hasattr(args, "min_service_seconds")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "--cube", str(cube_file), "--table", str(rides_csv),
+                 "--min-service-seconds", "0.1"]
+            )
 
     def test_serve_boots_and_answers_over_http(self, cube_file, rides_csv):
         import threading
