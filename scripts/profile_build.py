@@ -11,11 +11,16 @@ The profile is coordinator-side only: pool workers are separate
 processes, so what shows up here is exactly the serial residue of the
 build — partition fan-out, shared-memory publication, merge fold,
 selection. That is the part worth staring at when the speedup curve
-flattens.
+flattens. ``--serial`` profiles the whole build in one process
+(``workers=None``), where grouping, sampling and the SamGraph join show
+up directly.
 
 Usage:
     PYTHONPATH=src python scripts/profile_build.py \
         --rows 20000 --workers 4 --out build_profile
+    PYTHONPATH=src python scripts/profile_build.py --serial --rows 100000 \
+        --attrs vendor_name,pickup_weekday,passenger_count,payment_type,rate_code \
+        --out build_profile_serial
 """
 
 import argparse
@@ -30,6 +35,10 @@ def main() -> int:
     parser.add_argument("--rows", type=int, default=20000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=4)
+    parser.add_argument("--serial", action="store_true",
+                        help="run initialize(workers=None); --workers is ignored")
+    parser.add_argument("--attrs", default="passenger_count,payment_type",
+                        help="comma-separated cubed attributes")
     parser.add_argument("--partitions", type=int, default=16)
     parser.add_argument("--theta", type=float, default=0.1)
     parser.add_argument("--top", type=int, default=40,
@@ -46,7 +55,7 @@ def main() -> int:
     tabula = Tabula(
         table,
         TabulaConfig(
-            cubed_attrs=("passenger_count", "payment_type"),
+            cubed_attrs=tuple(args.attrs.split(",")),
             threshold=args.theta,
             loss=MeanLoss("fare_amount"),
             partitions=args.partitions,
@@ -56,7 +65,8 @@ def main() -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    report = tabula.initialize(workers=args.workers)
+    workers = None if args.serial else args.workers
+    report = tabula.initialize(workers=workers)
     profiler.disable()
 
     prof_path = f"{args.out}.prof"
@@ -73,7 +83,7 @@ def main() -> int:
         ("dry_run", report.dry_run_execution),
         ("real_run", report.real_run_execution),
     ]
-    print(f"profiled initialize(workers={args.workers}) over {args.rows} rows")
+    print(f"profiled initialize(workers={workers}) over {args.rows} rows")
     for stage, execution in executions:
         if execution is None:
             print(f"  {stage}: no execution record (serial path)")

@@ -25,7 +25,8 @@ then SIGKILLs one worker mid-stream. Asserts the chaos criterion:
   (the blast radius is the victim's cells, not the whole keyspace),
 - the supervisor restarts the worker and the probed cells return to
   their pre-kill guarantees (recovery to all-CERTIFIED),
-- ``/stats`` exposes the per-shard health the router collected.
+- ``/stats`` exposes the per-shard health the router collected,
+- stopping the router (SIGTERM) leaves no shard worker running.
 
 Run with ``REPRO_SANITIZE=1`` in CI: both server subprocesses inherit
 it, and any ``REPRO_SANITIZE:`` line on their stderr fails the smoke.
@@ -108,6 +109,28 @@ def stop(server) -> None:
         server.wait(timeout=10)
     except subprocess.TimeoutExpired:
         server.kill()
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
+
+
+def check_no_orphans(pids, who: str, grace_seconds: float = 10.0) -> None:
+    """Every pid in ``pids`` must be gone once the server has stopped."""
+    deadline = time.monotonic() + grace_seconds
+    while True:
+        survivors = [pid for pid in pids if alive(pid)]
+        if not survivors:
+            return
+        if time.monotonic() > deadline:
+            fail(f"{who}: shard workers outlived the router: pids {survivors}")
+        time.sleep(0.1)
 
 
 def check_sanitizer_log(log_path: Path, who: str) -> None:
@@ -250,6 +273,7 @@ def sharded_chaos_smoke(rides: Path, cube: Path, workdir: Path) -> None:
     base = f"http://{HOST}:{SHARDED_PORT}"
     victim, wheres = probe_wheres(cube)
     log_path = workdir / "sharded.stderr"
+    worker_pids = []
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
@@ -355,8 +379,16 @@ def sharded_chaos_smoke(rides: Path, cube: Path, workdir: Path) -> None:
             f"statuses {sorted(statuses)}, {downgraded} downgraded, "
             "recovered to baseline guarantees"
         )
+        _, stats, _ = get(f"{base}/stats")
+        worker_pids = [
+            doc["pid"] for doc in (stats.get("shards") or {}).values() if doc.get("pid")
+        ]
+        if len(worker_pids) != SHARDS:
+            fail(f"expected {SHARDS} shard worker pids, /stats has {worker_pids}")
     finally:
         stop(server)
+    check_no_orphans(worker_pids, "sharded tier")
+    print(f"sharded shutdown OK: all {len(worker_pids)} shard workers exited with the router")
     check_sanitizer_log(log_path, "sharded tier")
 
 

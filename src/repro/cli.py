@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 from typing import Dict, List, Optional
@@ -498,6 +499,9 @@ def cmd_serve(args) -> int:
     from repro.serving import ServingConfig, ServingGateway
     from repro.serving.http import serve_http
 
+    # SIGTERM shuts down like Ctrl-C, so the server's cleanup runs
+    # (gateway drain, ingest logs closed, shard workers stopped).
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     if getattr(args, "shards", 0) and args.shards > 0:
         return _serve_sharded(args)  # each worker arms REPRO_FAULTS itself
     # Overload drills arm faults (e.g. a Hang at serve.request.execute)
@@ -589,22 +593,27 @@ def _serve_sharded(args) -> int:
         return argv
 
     supervisor = ShardSupervisor(default_worker_factory(worker_argv), args.shards)
-    supervisor.start()
-    up = supervisor.up_shards()
-    fallback = shard_transform(placement, None)(
-        load_cube(args.cube, table, registry=registry)
-    )
-    router = ShardRouter(
-        supervisor, placement, fallback, cube_path=args.cube, registry=registry
-    )
-    print(
-        f"serving {args.cube} on http://{args.host}:{args.port} with "
-        f"{len(up)}/{args.shards} shard workers up "
-        f"(per-worker: workers={args.workers}, queue={args.queue_depth}; "
-        f"failed shards degrade to the replicated global sample)"
-    )
-    print("routes: POST/GET /query, GET /healthz /readyz /stats, POST /reload")
-    serve_http(router, host=args.host, port=args.port, quiet=args.quiet)
+    try:
+        supervisor.start()
+        up = supervisor.up_shards()
+        fallback = shard_transform(placement, None)(
+            load_cube(args.cube, table, registry=registry)
+        )
+        router = ShardRouter(
+            supervisor, placement, fallback, cube_path=args.cube, registry=registry
+        )
+        print(
+            f"serving {args.cube} on http://{args.host}:{args.port} with "
+            f"{len(up)}/{args.shards} shard workers up "
+            f"(per-worker: workers={args.workers}, queue={args.queue_depth}; "
+            f"failed shards degrade to the replicated global sample)"
+        )
+        print("routes: POST/GET /query, GET /healthz /readyz /stats, POST /reload")
+        serve_http(router, host=args.host, port=args.port, quiet=args.quiet)
+    finally:
+        # Closing the router stops the supervisor too; this covers a
+        # failure or interrupt before the server was up.
+        supervisor.stop()
     return 0
 
 

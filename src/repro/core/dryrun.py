@@ -29,7 +29,7 @@ from repro.core.global_sample import GlobalSample
 from repro.core.lattice import CuboidLattice, LatticeNode
 from repro.core.loss.base import LossFunction
 from repro.engine.cube import CellKey, align_cell_key, grouping_sets
-from repro.engine.groupby import group_rows
+from repro.engine.groupby import code_runs, group_rows
 from repro.engine.table import Table
 from repro.resilience.faults import fault_point, register_fault_point
 
@@ -132,14 +132,16 @@ def derive_cuboids(
         merged: Dict[Tuple, tuple] = {}
         if additive:
             if projector:
-                sub = key_codes[:, projector]
-                uniq, first, inverse = np.unique(
-                    sub, axis=0, return_index=True, return_inverse=True
-                )
-                inverse = inverse.ravel()
-                sums = np.zeros((len(uniq), stats_matrix.shape[1]))
+                order, starts = code_runs(key_codes[:, projector])
+                first = order[starts]
+                # Each base cell's run number, in base-cell order.
+                run_breaks = np.zeros(len(order), dtype=np.int64)
+                run_breaks[starts[1:]] = 1
+                inverse = np.empty_like(run_breaks)
+                inverse[order] = np.cumsum(run_breaks)
+                sums = np.zeros((len(starts), stats_matrix.shape[1]))
                 np.add.at(sums, inverse, stats_matrix)
-                for g in range(len(uniq)):
+                for g in range(len(starts)):
                     representative = base_keys[first[g]]
                     projected = tuple(representative[p] for p in projector)
                     merged[projected] = tuple(sums[g])

@@ -491,7 +491,7 @@ def parallel_dry_run(
     merged = merge_partition_stats(loss, partition_results)
 
     # Canonical base order: sort by physical key codes, matching the
-    # serial dry run's full-table GroupBy (np.unique over code rows).
+    # serial dry run's full-table GroupBy (lexicographic over code rows).
     columns = [table.column(a) for a in attrs]
 
     def codes_of(key: Tuple) -> Tuple[int, ...]:

@@ -26,14 +26,17 @@ from repro.core.loss.base import LossFunction
 from repro.core.realrun import IcebergCellEntry
 from repro.engine.table import Table
 
+_NO_EDGES = np.empty(0, dtype=np.int64)
+
 
 @dataclass
 class SamGraph:
-    """Adjacency-list representation; vertex i is ``cells[i]``'s sample."""
+    """Adjacency-array representation; vertex i is ``cells[i]``'s sample."""
 
     num_vertices: int
-    #: out_edges[v] = cells representable by sample v (excluding v itself).
-    out_edges: List[List[int]]
+    #: out_edges[v] = int64 array of the cells representable by sample v
+    #: (excluding v itself).
+    out_edges: List[np.ndarray]
     #: join diagnostics: pairs checked exactly vs pruned/shortcut.
     exact_checks: int
     pruned_pairs: int
@@ -41,11 +44,11 @@ class SamGraph:
     seconds: float
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_edges[v])
+        return self.out_edges[v].size
 
     @property
     def num_edges(self) -> int:
-        return sum(len(e) for e in self.out_edges)
+        return sum(e.size for e in self.out_edges)
 
     def has_edge(self, v: int, u: int) -> bool:
         return u in self.out_edges[v]
@@ -117,7 +120,7 @@ def build_samgraph(
         else None
     )
 
-    out_edges: List[List[int]] = [[] for _ in range(n)]
+    out_edges: List[np.ndarray] = []
     exact = pruned = shortcut = 0
     for v in range(n):
         sam_v = sample_values[v]
@@ -126,19 +129,20 @@ def build_samgraph(
         # whole column; a batch lower bound leaves only the survivors
         # for the exact check, tried in ascending-bound order under the
         # exact-check budget.
+        accepted = _NO_EDGES
         candidates = None
         bounded_order = False
         if use_accelerators and prepared is not None:
             quick = loss.representation_shortcut_batch(prepared, sam_v)
             if quick is not None:
                 shortcut += n - 1
-                hits = np.nonzero(np.asarray(quick) <= threshold)[0]
-                out_edges[v] = [int(u) for u in hits[:budget] if u != v]
+                hits = np.flatnonzero(np.asarray(quick) <= threshold)[:budget]
+                out_edges.append(hits[hits != v])
                 continue
             bounds = loss.representation_lower_bound_batch(prepared, sam_v)
             if bounds is not None:
                 bounds = np.asarray(bounds)
-                survivors = np.nonzero(bounds <= threshold)[0]
+                survivors = np.flatnonzero(bounds <= threshold)
                 pruned += n - 1 - max(len(survivors) - 1, 0)
                 # Sound accepts first: an upper bound <= θ proves the edge
                 # without an exact check.
@@ -149,27 +153,23 @@ def build_samgraph(
                 else:
                     uppers = None
                 if uppers is not None:
-                    uppers = np.asarray(uppers)
-                    accepted = [
-                        int(u) for u in survivors
-                        if u != v and uppers[u] <= threshold
-                    ]
-                    out_edges[v].extend(accepted[:budget])
+                    uppers = np.asarray(uppers)[survivors]
+                    accepted = survivors[(uppers <= threshold) & (survivors != v)]
                     shortcut += len(accepted)
-                    undecided = survivors[
-                        (uppers[survivors] > threshold) & (survivors != v)
-                    ]
+                    accepted = accepted[:budget]
+                    undecided = survivors[uppers > threshold]
                 else:
                     undecided = survivors
                 undecided = undecided[np.argsort(bounds[undecided], kind="stable")]
-                candidates = [int(u) for u in undecided if u != v]
+                candidates = undecided[undecided != v].tolist()
                 bounded_order = True
         if candidates is None:
             candidates = [u for u in range(n) if u != v]
+        found: List[int] = []
         examined = 0
         exact_done = 0
         miss_streak = 0
-        budget_left = budget - len(out_edges[v])
+        budget_left = budget - len(accepted)
         for u in candidates:
             if examined >= budget_left:
                 break
@@ -179,7 +179,7 @@ def build_samgraph(
                 if quick is not None:
                     shortcut += 1
                     if quick <= threshold:
-                        out_edges[v].append(u)
+                        found.append(u)
                     continue
                 bound = loss.representation_lower_bound(cells[u].stats, aux[u], sam_v)
                 if bound > threshold:
@@ -193,10 +193,11 @@ def build_samgraph(
             exact += 1
             exact_done += 1
             if loss.loss(raw_values[u], sam_v) <= threshold:
-                out_edges[v].append(u)
+                found.append(u)
                 miss_streak = 0
             else:
                 miss_streak += 1
+        out_edges.append(np.concatenate([accepted, np.asarray(found, dtype=np.int64)]))
     return SamGraph(
         num_vertices=n,
         out_edges=out_edges,

@@ -79,8 +79,8 @@ def select_representatives(graph: SamGraph) -> SelectionResult:
         representatives.append(head)
         if assigned_to[head] < 0:
             assigned_to[head] = head
-        tails = np.asarray(graph.out_edges[head], dtype=np.int64)
-        if len(tails):
+        tails = graph.out_edges[head]
+        if tails.size:
             unassigned = tails[assigned_to[tails] < 0]
             assigned_to[unassigned] = head
             removed[tails] = True

@@ -21,6 +21,7 @@ from repro.core.parallel import (
     task_chunks,
 )
 from repro.core.tabula import Tabula, TabulaConfig
+from repro.data.nyctaxi import generate_nyctaxi
 
 ATTRS = ("passenger_count", "payment_type")
 
@@ -250,6 +251,28 @@ class TestTabulaWorkersAPI:
             tabula.initialize(workers=workers)
             digests.add(tabula.store.content_digest())
         assert len(digests) == 1
+
+
+class TestBuildDigestPin:
+    """The 20k-row, five-attribute build is pinned byte for byte.
+
+    The digest was computed before grouping moved to one packed-key
+    sort and the SamGraph to int64 edge arrays; any change to group
+    order, row order inside a group, RNG draws or representation edges
+    moves them.
+    """
+
+    ATTRS = ("vendor_name", "pickup_weekday", "passenger_count", "payment_type", "rate_code")
+    #: Serial and pool builds agree on this table.
+    DIGEST = "1af0b118fe91e8ff9867d611e0b782ee168e8bea4a75d09b882d49fe1a5df06f"
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_content_digest_is_pinned(self, workers):
+        table = generate_nyctaxi(20_000, seed=14)
+        config = TabulaConfig(cubed_attrs=self.ATTRS, threshold=0.05, loss=MeanLoss("fare_amount"))
+        tabula = Tabula(table, config)
+        tabula.initialize(workers=workers)
+        assert tabula.store.content_digest() == self.DIGEST
 
 
 class TestFallbackAudit:
